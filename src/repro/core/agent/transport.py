@@ -33,6 +33,7 @@ from ..events.encoding import (
     _F64,
     _I64,
     _U32,
+    _decode_events,
     _read_str,
     _read_value,
     _str_size,
@@ -44,7 +45,6 @@ from ..events.encoding import (
     encoded_size_value,
     scan_batch,
 )
-from ..events.encoding import _decode_binary_at
 
 __all__ = [
     "DirectTransport",
@@ -101,15 +101,18 @@ class EventBatch:
     #: this query on this host; empty while the query is healthy.  Rides
     #: the flush that reports the quarantine, exactly once.
     quarantined: str = ""
+    #: Length of the wire frame :func:`decode_full_batch` read this batch
+    #: from; 0 for a batch built in process.
+    frame_size: int = field(default=0, compare=False, repr=False)
 
     def wire_size(self) -> int:
         """Encoded size in bytes — what the host actually ships.
 
-        Exactly ``len(encode_full_batch(self))``, computed arithmetically
-        (the ingest hot path charges this per batch; encoding the whole
+        Exactly ``len(encode_full_batch(self))``: the frame's length for
+        a decoded batch, else computed arithmetically (encoding the whole
         batch just to measure it was the single largest per-batch cost).
         """
-        return full_batch_wire_size(self)
+        return self.frame_size or full_batch_wire_size(self)
 
 
 # -- full-batch wire codec -----------------------------------------------------
@@ -184,7 +187,7 @@ def full_batch_wire_size(batch: EventBatch) -> int:
     return size
 
 
-def _read_full_batch_header(buf: memoryview) -> tuple:
+def _read_full_batch_header(buf: bytes | memoryview) -> tuple:
     """Version check + the fixed metadata fields before the event batch.
 
     Shared by :func:`decode_full_batch` and :func:`scan_full_batch` so a
@@ -209,7 +212,7 @@ def _read_full_batch_header(buf: memoryview) -> tuple:
 
 
 def _read_full_batch_trailer(
-    buf: memoryview, pos: int
+    buf: bytes | memoryview, pos: int
 ) -> tuple[dict[tuple[str, int], int], list["PartialAggregate"]]:
     """Seen counts + partial aggregates after the event batch; rejects
     trailing garbage.  Shared by the decoder and the scanner."""
@@ -255,19 +258,15 @@ def _read_full_batch_trailer(
 
 def decode_full_batch(data: bytes | memoryview) -> EventBatch:
     """Inverse of :func:`encode_full_batch`; rejects trailing garbage."""
-    buf = memoryview(data)
+    data = bytes(data)
     host, query_id, sent_at, dropped, shed, quarantined, pos = (
-        _read_full_batch_header(buf)
+        _read_full_batch_header(data)
     )
-    if pos + 4 > len(buf):
-        raise _truncated(pos, 4, len(buf) - pos)
-    (event_count,) = _U32.unpack_from(buf, pos)
-    pos += 4
-    events: list[Event] = []
-    for _ in range(event_count):
-        event, pos = _decode_binary_at(buf, pos)
-        events.append(event)
-    seen_counts, partials = _read_full_batch_trailer(buf, pos)
+    if pos + 4 > len(data):
+        raise _truncated(pos, 4, len(data) - pos)
+    (event_count,) = _U32.unpack_from(data, pos)
+    events, pos = _decode_events(data, pos + 4, event_count)
+    seen_counts, partials = _read_full_batch_trailer(data, pos)
     return EventBatch(
         host=host,
         query_id=query_id,
@@ -278,6 +277,7 @@ def decode_full_batch(data: bytes | memoryview) -> EventBatch:
         partials=partials,
         shed=shed,
         quarantined=quarantined,
+        frame_size=len(data),
     )
 
 
@@ -314,23 +314,7 @@ class EncodedBatch:
     def to_event_batch(self) -> EventBatch:
         """Decode the events after all — the object-path fallback for
         queries the pool keeps on the parent (raw selections)."""
-        buf = self.data
-        events = [
-            _decode_binary_at(buf, start)[0]
-            for _rid, _ts, _host, start, _stop in self.frames
-        ]
-        meta = self.meta
-        return EventBatch(
-            host=meta.host,
-            query_id=meta.query_id,
-            events=events,
-            seen_counts=meta.seen_counts,
-            dropped=meta.dropped,
-            sent_at=meta.sent_at,
-            partials=meta.partials,
-            shed=meta.shed,
-            quarantined=meta.quarantined,
-        )
+        return decode_full_batch(self.data)
 
 
 def scan_full_batch(data: bytes | memoryview) -> EncodedBatch:
@@ -363,8 +347,7 @@ def scan_full_batch(data: bytes | memoryview) -> EncodedBatch:
 
 def peek_full_batch_host(data: bytes | memoryview) -> str:
     """Read just the host name off a full-batch frame (first field after
-    the version byte) — what ``scrubd`` keys its per-host shard queue on
-    without touching the rest of the frame."""
+    the version byte) without touching the rest of the frame."""
     buf = memoryview(data)
     if len(buf) < 1 or buf[0] != _FULL_BATCH_VERSION:
         version = buf[0] if len(buf) else None

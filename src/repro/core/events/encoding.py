@@ -18,7 +18,7 @@ import json
 import struct
 from typing import Any
 
-from .event import Event
+from .event import Event, _rebuild_event
 
 __all__ = [
     "encode_json",
@@ -79,6 +79,8 @@ _TAG_FLOAT = b"D"
 _TAG_STR = b"S"
 _TAG_LIST = b"L"
 _TAG_MAP = b"M"
+# The readers dispatch on the tag byte's integer value.
+_N, _B, _I, _D, _S, _L, _M = b"NBIDSLM"
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
@@ -138,17 +140,17 @@ def _write_str(out: bytearray, text: str) -> None:
     out += raw
 
 
-def _read_str(buf: memoryview, pos: int) -> tuple[str, int]:
+def _read_str(buf: bytes | memoryview, pos: int) -> tuple[str, int]:
     if pos + 4 > len(buf):
         raise _truncated(pos, 4, len(buf) - pos)
     (length,) = _U32.unpack_from(buf, pos)
     pos += 4
     if pos + length > len(buf):
         raise _truncated(pos, length, len(buf) - pos)
-    return bytes(buf[pos : pos + length]).decode(), pos + length
+    return str(buf[pos : pos + length], "utf-8"), pos + length
 
 
-def _skip_str(buf: memoryview, pos: int) -> int:
+def _skip_str(buf: bytes | memoryview, pos: int) -> int:
     """Advance past one encoded string without decoding it.
 
     Bounds checks (and their error messages) mirror :func:`_read_str`
@@ -164,30 +166,30 @@ def _skip_str(buf: memoryview, pos: int) -> int:
     return pos + length
 
 
-def _read_value(buf: memoryview, pos: int) -> tuple[Any, int]:
+def _read_value(buf: bytes | memoryview, pos: int) -> tuple[Any, int]:
     if pos >= len(buf):
         raise _truncated(pos, 1, 0)
-    tag = bytes(buf[pos : pos + 1])
+    tag = buf[pos]
     pos += 1
-    if tag == _TAG_NULL:
+    if tag == _N:
         return None, pos
-    if tag == _TAG_BOOL:
+    if tag == _B:
         if pos >= len(buf):
             raise _truncated(pos, 1, 0)
         return buf[pos] != 0, pos + 1
-    if tag == _TAG_INT:
+    if tag == _I:
         if pos + 8 > len(buf):
             raise _truncated(pos, 8, len(buf) - pos)
         (v,) = _I64.unpack_from(buf, pos)
         return v, pos + 8
-    if tag == _TAG_FLOAT:
+    if tag == _D:
         if pos + 8 > len(buf):
             raise _truncated(pos, 8, len(buf) - pos)
         (v,) = _F64.unpack_from(buf, pos)
         return v, pos + 8
-    if tag == _TAG_STR:
+    if tag == _S:
         return _read_str(buf, pos)
-    if tag == _TAG_LIST:
+    if tag == _L:
         if pos + 4 > len(buf):
             raise _truncated(pos, 4, len(buf) - pos)
         (count,) = _U32.unpack_from(buf, pos)
@@ -197,7 +199,7 @@ def _read_value(buf: memoryview, pos: int) -> tuple[Any, int]:
             item, pos = _read_value(buf, pos)
             items.append(item)
         return items, pos
-    if tag == _TAG_MAP:
+    if tag == _M:
         if pos + 4 > len(buf):
             raise _truncated(pos, 4, len(buf) - pos)
         (count,) = _U32.unpack_from(buf, pos)
@@ -207,10 +209,10 @@ def _read_value(buf: memoryview, pos: int) -> tuple[Any, int]:
             key, pos = _read_str(buf, pos)
             mapping[key], pos = _read_value(buf, pos)
         return mapping, pos
-    raise ValueError(f"corrupt event encoding: unknown tag {tag!r} at offset {pos - 1}")
+    raise ValueError(f"corrupt event encoding: unknown tag {bytes([tag])!r} at offset {pos - 1}")
 
 
-def _skip_value(buf: memoryview, pos: int) -> int:
+def _skip_value(buf: bytes | memoryview, pos: int) -> int:
     """Advance past one tagged value without materializing it.
 
     The frame scanner's building block: the structure (and every bounds
@@ -219,21 +221,21 @@ def _skip_value(buf: memoryview, pos: int) -> int:
     """
     if pos >= len(buf):
         raise _truncated(pos, 1, 0)
-    tag = bytes(buf[pos : pos + 1])
+    tag = buf[pos]
     pos += 1
-    if tag == _TAG_NULL:
+    if tag == _N:
         return pos
-    if tag == _TAG_BOOL:
+    if tag == _B:
         if pos >= len(buf):
             raise _truncated(pos, 1, 0)
         return pos + 1
-    if tag == _TAG_INT or tag == _TAG_FLOAT:
+    if tag == _I or tag == _D:
         if pos + 8 > len(buf):
             raise _truncated(pos, 8, len(buf) - pos)
         return pos + 8
-    if tag == _TAG_STR:
+    if tag == _S:
         return _skip_str(buf, pos)
-    if tag == _TAG_LIST:
+    if tag == _L:
         if pos + 4 > len(buf):
             raise _truncated(pos, 4, len(buf) - pos)
         (count,) = _U32.unpack_from(buf, pos)
@@ -241,7 +243,7 @@ def _skip_value(buf: memoryview, pos: int) -> int:
         for _ in range(count):
             pos = _skip_value(buf, pos)
         return pos
-    if tag == _TAG_MAP:
+    if tag == _M:
         if pos + 4 > len(buf):
             raise _truncated(pos, 4, len(buf) - pos)
         (count,) = _U32.unpack_from(buf, pos)
@@ -250,7 +252,7 @@ def _skip_value(buf: memoryview, pos: int) -> int:
             pos = _skip_str(buf, pos)
             pos = _skip_value(buf, pos)
         return pos
-    raise ValueError(f"corrupt event encoding: unknown tag {tag!r} at offset {pos - 1}")
+    raise ValueError(f"corrupt event encoding: unknown tag {bytes([tag])!r} at offset {pos - 1}")
 
 
 def encode_value(value: Any) -> bytes:
@@ -293,24 +295,90 @@ def encode_binary(event: Event) -> bytes:
 
 
 def decode_binary(data: bytes | memoryview) -> Event:
-    event, pos = _decode_binary_at(memoryview(data), 0)
+    events, pos = _decode_events(bytes(data), 0, 1)
     if pos != len(data):
         raise ValueError(f"trailing garbage after event at offset {pos}")
-    return event
+    return events[0]
 
 
-def _decode_binary_at(buf: memoryview, pos: int) -> tuple[Event, int]:
-    event_type, pos = _read_str(buf, pos)
-    host, pos = _read_str(buf, pos)
-    if pos + _HEADER.size > len(buf):
-        raise _truncated(pos, _HEADER.size, len(buf) - pos)
-    request_id, timestamp, nfields = _HEADER.unpack_from(buf, pos)
-    pos += _HEADER.size
-    payload: dict[str, Any] = {}
-    for _ in range(nfields):
-        key, pos = _read_str(buf, pos)
-        payload[key], pos = _read_value(buf, pos)
-    return Event(event_type, payload, request_id, timestamp, host), pos
+def _decode_events(data: bytes, pos: int, count: int) -> tuple[list[Event], int]:
+    """Decode *count* consecutive events starting at *pos* — the one
+    event decoder behind every decode entry point.
+
+    Agents repeat the same strings in every flush, so the loop reuses
+    the previous event's type and host while the next event's leading
+    bytes match them, interns keys and string values per call, and
+    inlines the int, float and string tags (others go through
+    :func:`_read_value`).  Each payload dict is fresh, so events are
+    built without ``Event.__init__``'s defensive copy.  A read past the
+    end raises ``struct.error`` or ``IndexError`` (slices are
+    length-checked, as they never raise); the scanner's checked walk
+    over the torn event then raises the structured error at the same
+    offset.
+    """
+    size = len(data)
+    events: list[Event] = []
+    append = events.append
+    strings: dict[bytes, str] = {}
+    prefix = b""
+    event_type = host = ""
+    u32 = _U32.unpack_from
+    i64 = _I64.unpack_from
+    f64 = _F64.unpack_from
+    header = _HEADER.unpack_from
+    header_size = _HEADER.size
+    start = pos
+    try:
+        for _ in range(count):
+            start = pos
+            if prefix and data.startswith(prefix, pos):
+                pos += len(prefix)
+            else:
+                event_type, pos = _read_str(data, pos)
+                host, pos = _read_str(data, pos)
+                prefix = data[start:pos]
+            request_id, timestamp, nfields = header(data, pos)
+            pos += header_size
+            payload: dict[str, Any] = {}
+            for _ in range(nfields):
+                (n,) = u32(data, pos)
+                pos += 4
+                end = pos + n
+                if end > size:
+                    raise IndexError
+                raw = data[pos:end]
+                key = strings.get(raw)
+                if key is None:
+                    key = strings[raw] = raw.decode()
+                tag = data[end]
+                pos = end + 1
+                if tag == _I:
+                    payload[key] = i64(data, pos)[0]
+                    pos += 8
+                elif tag == _D:
+                    payload[key] = f64(data, pos)[0]
+                    pos += 8
+                elif tag == _S:
+                    (n,) = u32(data, pos)
+                    pos += 4
+                    end = pos + n
+                    if end > size:
+                        raise IndexError
+                    raw = data[pos:end]
+                    value = strings.get(raw)
+                    if value is None:
+                        value = strings[raw] = raw.decode()
+                    payload[key] = value
+                    pos = end
+                else:
+                    payload[key], pos = _read_value(data, end)
+            append(_rebuild_event(event_type, payload, request_id, timestamp, host))
+    except (struct.error, IndexError):
+        pass
+    else:
+        return events, pos
+    _scan_events(data, start, 1)  # raises the structured error
+    raise ValueError(f"corrupt event encoding at offset {start}")
 
 
 # -- arithmetic sizes ---------------------------------------------------------
@@ -377,15 +445,11 @@ def encode_batch(events: list[Event]) -> bytes:
 
 
 def decode_batch(data: bytes | memoryview) -> list[Event]:
-    buf = memoryview(data)
-    if len(buf) < 4:
-        raise _truncated(0, 4, len(buf))
-    (count,) = _U32.unpack_from(buf, 0)
-    pos = 4
-    events: list[Event] = []
-    for _ in range(count):
-        event, pos = _decode_binary_at(buf, pos)
-        events.append(event)
+    data = bytes(data)
+    if len(data) < 4:
+        raise _truncated(0, 4, len(data))
+    (count,) = _U32.unpack_from(data, 0)
+    events, pos = _decode_events(data, 4, count)
     if pos != len(data):
         raise ValueError(f"trailing garbage after batch at offset {pos}")
     return events
@@ -400,13 +464,9 @@ def decode_event_frames(data: bytes | memoryview, count: int) -> list[Event]:
     them back into :class:`Event` objects here.  Rejects leftover bytes
     — a mis-sliced shard must fail loudly, never drop events.
     """
-    buf = memoryview(data)
-    pos = 0
-    events: list[Event] = []
-    for _ in range(count):
-        event, pos = _decode_binary_at(buf, pos)
-        events.append(event)
-    if pos != len(buf):
+    data = bytes(data)
+    events, pos = _decode_events(data, 0, count)
+    if pos != len(data):
         raise ValueError(f"trailing garbage after batch at offset {pos}")
     return events
 
@@ -438,11 +498,19 @@ def scan_batch(
     :func:`decode_batch`; nothing is ever silently dropped or mis-sliced.
     """
     mv = buf if isinstance(buf, memoryview) else memoryview(buf)
-    size = len(mv)
-    if pos + 4 > size:
-        raise _truncated(pos, 4, size - pos)
+    if pos + 4 > len(mv):
+        raise _truncated(pos, 4, len(mv) - pos)
     (count,) = _U32.unpack_from(mv, pos)
-    pos += 4
+    return _scan_events(mv, pos + 4, count)
+
+
+def _scan_events(
+    mv: bytes | memoryview, pos: int, count: int
+) -> tuple[list[tuple[int, float, str, int, int]], int]:
+    """Index *count* consecutive events from *pos*: :func:`scan_batch`
+    after the count prefix, and the checked walk that gives
+    :func:`_decode_events` its error for a torn event."""
+    size = len(mv)
     frames: list[tuple[int, float, str, int, int]] = []
     # One host string decode per distinct byte pattern: a flush carries
     # one host's events, so this is almost always a single decode.

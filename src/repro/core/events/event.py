@@ -149,6 +149,8 @@ def _rebuild_event(
     timestamp: float,
     host: str,
 ) -> Event:
+    """An event that owns *payload* as is, without ``__init__``'s copy:
+    for unpickling and the wire decoder, which build fresh payloads."""
     event = Event.__new__(Event)
     event.event_type = event_type
     event.payload = payload

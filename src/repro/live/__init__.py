@@ -10,8 +10,8 @@ multi-process system here:
   implementation of the two-method ``Transport`` protocol that ships
   batches to a ``scrubd`` daemon over TCP.
 * :mod:`repro.live.server` — ``scrubd``, the standalone asyncio
-  ScrubCentral daemon (shard workers, real-clock window ticks, query
-  control channel).
+  ScrubCentral daemon (bounded ingest queue, real-clock window ticks,
+  query control channel).
 * :mod:`repro.live.client` — :class:`LiveAgent` (embeds a ``ScrubAgent``
   in an application process) and :class:`ControlClient` (submit/poll/
   finish queries against a running ``scrubd``), plus the ``scrub-submit``

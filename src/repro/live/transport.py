@@ -76,8 +76,8 @@ class JitteredBackoff:
 
 class _Drain:
     """A barrier token: set once every prior frame reached the daemon
-    *and* was ingested (the daemon PONGs only after its shard workers
-    pass the matching barrier)."""
+    *and* was ingested (the daemon PONGs only after its ingest queue
+    passes the matching barrier)."""
 
     __slots__ = ("event", "ok", "token")
 

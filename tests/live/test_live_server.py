@@ -1,12 +1,21 @@
-"""ScrubDaemon over real TCP: registration, query lifecycle, routing
-through the shard workers into the shared engine, and the reap tick."""
+"""ScrubDaemon over real TCP: registration, query lifecycle, ingest
+through the data channel into the engine, and the reap tick."""
 
+import socket
 import time
 
 import pytest
 
+from repro.core.agent.transport import EventBatch
+from repro.core.events import Event
 from repro.core.query.errors import ScrubError
 from repro.live.client import ControlClient, LiveAgent, LiveAgentError
+from repro.live.protocol import (
+    MsgType,
+    encode_batch_frame,
+    encode_message_frame,
+    recv_frame,
+)
 
 from .conftest import wait_for
 
@@ -195,7 +204,7 @@ class TestStats:
         agent = _agent(harness, "web-0")
         try:
             stats = ctl.stats()
-            assert stats["shards"] == len(harness.daemon._shard_queues)
+            assert stats["workers"] == 0
             assert [h["host"] for h in stats["hosts"]] == ["web-0"]
             assert stats["hosts"][0]["services"] == ["Frontends"]
             assert stats["uptime"] >= 0.0
@@ -218,3 +227,59 @@ class TestStats:
         assert [h["host"] for h in ctl.stats()["hosts"]] == ["web-0"]
         agent.close()
         assert wait_for(lambda: not ctl.stats()["hosts"])
+
+
+class TestIngestAccounting:
+    """Everything a batch frame reports reaches the engine's STATS once."""
+
+    def test_governor_fields_survive_the_data_channel(self, harness, ctl):
+        agent = _agent(harness, "web-0")
+        try:
+            qid = ctl.submit(QUERY)["query_id"]
+            assert wait_for(lambda: qid in agent.installed_query_ids)
+            stamp = time.time()
+            batch = EventBatch(
+                host="web-0",
+                query_id=qid,
+                events=[
+                    Event("pv", {"url": "/a", "latency_ms": 1.0}, rid, stamp, "web-0")
+                    for rid in range(8)
+                ],
+                shed=5,
+                quarantined="impact-budget-exceeded: test",
+            )
+            with socket.create_connection(harness.address, timeout=10.0) as sock:
+                sock.sendall(
+                    encode_message_frame(MsgType.DATA_HELLO, {"host": "web-0"})
+                    + encode_batch_frame(batch)
+                    + encode_message_frame(MsgType.PING, {"token": 1})
+                )
+                msg_type, _payload = recv_frame(sock)
+                assert msg_type == MsgType.PONG
+            stats = ctl.stats()
+            assert stats["engine"]["events_received"] == 8
+            assert stats["engine"]["events_shed"] == 5
+            assert stats["engine"]["quarantines_reported"] == 1
+            assert stats["quarantines"][qid]["web-0"] == "impact-budget-exceeded: test"
+        finally:
+            agent.close()
+
+    def test_bytes_received_equals_bytes_shipped(self, harness, ctl):
+        agent = _agent(harness, "web-0")
+        try:
+            qid = ctl.submit(QUERY)["query_id"]
+            assert wait_for(lambda: qid in agent.installed_query_ids)
+            stamp = time.time()
+            for rid in range(95):
+                agent.log("pv", url=f"/p{rid % 7}", latency_ms=rid / 4,
+                          request_id=rid, timestamp=stamp)
+            assert agent.drain(10.0)
+            shipped = agent.agent.stats
+            assert shipped.events_dropped == 0
+            assert agent.transport.dropped_events == 0
+            stats = ctl.stats()
+            assert stats["engine"]["events_received"] == 95
+            assert stats["engine"]["batches_received"] == shipped.batches_flushed
+            assert stats["engine"]["bytes_received"] == shipped.bytes_shipped
+        finally:
+            agent.close()
